@@ -26,17 +26,14 @@ from .sparse import (
 )
 from .sampler import (
     LayerSample,
-    RowRng,
     SampledEpoch,
     SamplerConfig,
     SamplerKind,
-    frontier_from_rows,
-    its_sample_row,
     ladies_seed_matrix,
+    race_uniforms,
     sage_seed_matrix,
     sample_epoch_bulk,
     sample_frontier,
-    sample_rows_ordered,
 )
 from .dist import (
     MODE_PARTITIONED,

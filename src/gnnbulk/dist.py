@@ -404,7 +404,7 @@ def sample_epoch_distributed(
     Replicated mode splits the minibatches across all p processes and keeps
     the adjacency matrix everywhere, so sampling and extraction never
     communicate. Partitioned mode splits both operands into p/c block rows
-    and multiplies with the staged sparsity-aware algorithm; row streams
+    and multiplies with the staged sparsity-aware algorithm; random draws
     are keyed by epoch-global batch and row ids, so the returned epoch is
     identical to a serial run over the same batches.
     """
@@ -452,15 +452,13 @@ def sample_epoch_distributed(
         spgemm_calls += 1
         norm = smp.norm_rows_sage if is_sage else smp.norm_rows_ladies
 
-        group_frontier, group_ordered = [], []
+        group_frontier = []
         for g in range(n_groups):
             Pg = norm(Ppart.block(g))
             keys = smp.global_row_keys(cfg, depth, group_ids[g], group_rows[g])
-            ordered = smp.sample_rows_ordered(
-                Pg, fanout, epoch, depth, cfg.seed, keys
+            group_frontier.append(
+                smp.sample_frontier(Pg, fanout, epoch, depth, cfg.seed, keys)
             )
-            group_ordered.append(ordered)
-            group_frontier.append(smp.frontier_from_rows(ordered, n))
         frontier = vstack(group_frontier, n_cols=n)
 
         if is_sage:

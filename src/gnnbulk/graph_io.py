@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import MODE_PARTITIONED, MODE_REPLICATED, PHASES
+from .dist import MODE_PARTITIONED, MODE_REPLICATED, PHASES, ProcessGrid
 from .errors import ContractViolation, GraphFormatError
 from .sparse import Graph
 
@@ -67,8 +67,9 @@ class RunConfig:
         self.fanouts = tuple(int(x) for x in self.fanouts)
         if len(self.fanouts) != self.layers:
             raise ContractViolation("fanouts must list one value per layer")
-        if self.procs % self.replication != 0:
-            raise ContractViolation("replication must divide procs")
+        ProcessGrid(self.procs, self.replication)  # c divides p, c*c <= p
+        if self.mode == MODE_PARTITIONED and self.procs % self.replication**2:
+            raise ContractViolation("partitioned mode needs c*c to divide p")
 
     def as_dict(self):
         d = dict(self.__dict__)

@@ -6,9 +6,9 @@ the adjacency matrix to get one probability row per frontier row, normalize,
 draw without replacement from each row, then extract the sampled adjacency
 block for that layer.
 
-Randomness is keyed per (seed, epoch, layer, global row), never per call,
-so a bulk run over k batches, k separate single-batch runs, and any
-distributed split of the rows all draw identical samples.
+Randomness is keyed per (seed, epoch, layer, global row, column), never
+per call, so a bulk run over k batches, k separate single-batch runs, and
+any distributed split of the rows all draw identical samples.
 """
 
 from __future__ import annotations
@@ -94,28 +94,6 @@ class SamplerConfig:
         return rows
 
 
-class RowRng:
-    """Deterministic per-row random streams.
-
-    Stream identity is the tuple (seed, epoch, layer, global_row); any
-    worker that owns a row can reconstruct its stream, so results do not
-    depend on process count or execution order.
-    """
-
-    __slots__ = ("seed", "epoch", "layer")
-
-    def __init__(self, seed, epoch, layer):
-        self.seed = int(seed)
-        self.epoch = int(epoch)
-        self.layer = int(layer)
-
-    def stream(self, global_row) -> np.random.Generator:
-        key = np.random.SeedSequence(
-            [self.seed, self.epoch, self.layer, int(global_row)]
-        )
-        return np.random.Generator(np.random.PCG64(key))
-
-
 # -- seed matrices -----------------------------------------------------------
 
 
@@ -151,87 +129,124 @@ def _flatten_batches(batches, n, sort_within=False):
     return cols, offsets
 
 
-# -- inverse transform sampling ----------------------------------------------
+# -- the exponential race ----------------------------------------------------
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)))
+_ONE_BITS = np.uint64(0x3FF0000000000000)  # exponent field of 1.0
+_BLOCK = 1 << 15
 
 
-def its_sample_row(probabilities, s, rng: np.random.Generator) -> np.ndarray:
-    """Draw min(s, m) distinct indices from a discrete distribution.
+def _splitmix(state, counter, scratch):
+    """state <- mix(state + (counter + 1) * golden), in place and wrapping
+    mod 2^64: one splitmix64 step per element. scratch has state's shape."""
+    np.add(counter, 1, out=scratch)
+    scratch *= _GOLDEN
+    state += scratch
+    for shift, mult in _MIX:
+        np.right_shift(state, shift, out=scratch)
+        state ^= scratch
+        state *= mult
+    np.right_shift(state, 31, out=scratch)
+    state ^= scratch
 
-    Inverse transform sampling: each draw binary-searches a uniform variate
-    in the running prefix sum. Sampling is without replacement by zeroing
-    the drawn weight and rescaling the next variate to the remaining mass.
-    Returns indices in draw order.
+
+def race_uniforms(P: SparseMatrix, epoch, layer, seed, row_keys=None) -> np.ndarray:
+    """One uniform in (0, 1] per nonzero (r, j) of P, keyed by
+    (seed, epoch, layer, row_keys[r], j).
+
+    A counter-based generator (Salmon et al., SC'11): every value is a
+    splitmix64 hash of its own key, so it does not depend on which other
+    entries are drawn, in what order, or by which process. row_keys
+    defaults to the local row index.
     """
-    weights = np.asarray(probabilities, dtype=np.float64).copy()
-    m = len(weights)
-    if m == 0:
-        return np.zeros(0, dtype=np.int64)
-    if weights.min() <= 0:
+    rows = np.arange(P.n_rows) if row_keys is None else row_keys
+    rows = np.asarray(rows, dtype=np.int64).view(np.uint64)
+    if rows.shape != (P.n_rows,):
+        raise ContractViolation("row_keys must hold one key per row")
+    head = np.zeros(1, dtype=np.uint64)
+    for part in (seed, epoch, layer):
+        part = np.array([part], dtype=np.int64).view(np.uint64)
+        _splitmix(head, part, np.empty_like(head))
+    row_state = np.full(P.n_rows, head[0])
+    _splitmix(row_state, rows, np.empty_like(row_state))
+    state = np.repeat(row_state, P.row_nnz())
+    cols = P.col_indices.view(np.uint64)
+    scratch = np.empty(min(_BLOCK, P.nnz), dtype=np.uint64)
+    # blocks small enough that the hash's passes stay in cache
+    for lo in range(0, P.nnz, _BLOCK):
+        z = state[lo : lo + _BLOCK]
+        _splitmix(z, cols[lo : lo + _BLOCK], scratch[: len(z)])
+        # the top 52 bits as the mantissa of a float in [1, 2); 2 - x is exact
+        z >>= np.uint64(12)
+        z |= _ONE_BITS
+        u = z.view(np.float64)
+        np.subtract(2.0, u, out=u)
+    return state.view(np.float64)
+
+
+def sample_frontier(P: SparseMatrix, s, epoch, layer, seed, row_keys=None) -> SparseMatrix:
+    """Sample min(s, nnz) columns without replacement from every row of P.
+
+    Efraimidis–Spirakis exponential race: nonzero (r, j) gets the key
+    -log(u) / P[r, j], with u from race_uniforms, and each row keeps its s
+    smallest keys. Their ranking has the distribution of successive
+    inverse-transform draws, each renormalized over the weights not yet
+    drawn. The result has P's shape with value-1 entries at the sampled
+    columns.
+    """
+    if P.nnz and P.values.min() <= 0:
         raise ContractViolation("probabilities must be positive")
-    take = min(int(s), m)
-    if take == m:
-        # exhaustion: every index is selected; draw order is index order
-        return np.arange(m, dtype=np.int64)
-    out = np.empty(take, dtype=np.int64)
-    for t in range(take):
-        cdf = np.cumsum(weights)
-        total = cdf[-1]
-        # u in [0, 1) scaled to the remaining mass; right-open intervals
-        # mean cdf[i-1] <= target < cdf[i] selects i
-        target = rng.random() * total
-        idx = int(np.searchsorted(cdf, target, side="right"))
-        if idx >= m:
-            idx = m - 1
-        while weights[idx] == 0.0:
-            idx -= 1
-        out[t] = idx
-        weights[idx] = 0.0
-    return out
-
-
-def sample_rows_ordered(P: SparseMatrix, s, epoch, layer, seed, row_keys=None):
-    """Sampled column ids for every row of a normalized matrix, in draw
-    order. row_keys supplies the global row ids that key the per-row
-    streams; it defaults to the local row index."""
-    if row_keys is None:
-        row_keys = np.arange(P.n_rows)
-    rng = RowRng(seed, epoch, layer)
-    out = []
-    for r in range(P.n_rows):
-        cols = P.row_cols(r)
-        if len(cols) == 0:
-            out.append(np.zeros(0, dtype=np.int64))
-            continue
-        picked = its_sample_row(P.row_vals(r), s, rng.stream(row_keys[r]))
-        out.append(cols[picked])
-    return out
-
-
-def frontier_from_rows(sampled_rows, n_cols) -> SparseMatrix:
-    """Build the value-1 frontier matrix whose row r contains the ids in
-    sampled_rows[r] (any order; stored sorted)."""
-    offsets = np.zeros(len(sampled_rows) + 1, dtype=np.int64)
-    cols_out = []
-    for r, ids in enumerate(sampled_rows):
-        chosen = np.sort(np.asarray(ids, dtype=np.int64))
-        cols_out.append(chosen)
-        offsets[r + 1] = offsets[r] + len(chosen)
-    cols = np.concatenate(cols_out) if cols_out else np.zeros(0, dtype=np.int64)
+    s = int(s)
+    keys = race_uniforms(P, epoch, layer, seed, row_keys)
+    np.log(keys, out=keys)
+    np.divide(keys, P.values, out=keys)
+    np.negative(keys, out=keys)
+    picked = _race_winners(keys, P, s)
+    offsets = np.concatenate([[0], np.cumsum(np.minimum(P.row_nnz(), s))])
     return SparseMatrix(
-        len(sampled_rows), n_cols, offsets, cols, np.ones(len(cols)), validate=False
+        P.n_rows, P.n_cols, offsets, P.col_indices[picked], np.ones(len(picked)),
+        validate=False,
     )
 
 
-def sample_frontier(
-    P: SparseMatrix, s, epoch, layer, seed, row_keys=None
-) -> SparseMatrix:
-    """Sample min(s, nnz) columns from every row of a normalized matrix.
+def _race_winners(keys, P: SparseMatrix, s) -> np.ndarray:
+    """Positions of the s smallest keys in each row of P (all of a row with
+    at most s entries), ascending; equal keys go to the lower column.
 
-    The result has P's shape with value-1 entries at the sampled columns.
+    A sort of every nonzero is slow and large when hub rows are far longer
+    than s, so each row first keeps the candidates below tau = (2s + 16) /
+    (row mass): a key of weight w is Exp(w), so about 2s + 16 keys fall below
+    tau, and whenever at least s do, the s smallest are among them. A row
+    left with fewer than s candidates keeps all of its entries, so the
+    selection stays exact. The candidates are ranked by one stable sort per
+    group of rows padded to the same power-of-two length.
     """
-    return frontier_from_rows(
-        sample_rows_ordered(P, s, epoch, layer, seed, row_keys), P.n_cols
-    )
+    counts = P.row_nnz()
+    starts = P.row_offsets[:-1][counts > 0]
+    counts = counts[counts > 0]
+    mass = np.add.reduceat(P.values, starts)
+    below = keys < np.repeat((2 * s + 16) / mass, counts)
+    n_below = np.add.reduceat(below, starts, dtype=np.int64)
+    few = n_below < s
+    below |= np.repeat(few, counts)
+    n_cand = np.where(few, counts, n_below)
+    cand = np.flatnonzero(below)
+    del below
+    cand_keys = keys[cand]
+    cand_starts = np.cumsum(n_cand) - n_cand
+    won = np.repeat(n_cand <= s, n_cand)
+    ranked = np.flatnonzero(n_cand > s)
+    width = 2 ** np.ceil(np.log2(n_cand[ranked])).astype(np.int64)
+    for w in np.unique(width):
+        rows = ranked[width == w]
+        lane = np.arange(w)
+        idx = cand_starts[rows][:, None] + lane
+        block = cand_keys[np.minimum(idx, len(cand_keys) - 1)]
+        block[lane >= n_cand[rows][:, None]] = np.inf
+        order = np.argsort(block, axis=1, kind="stable")[:, :s]
+        won[np.take_along_axis(idx, order, axis=1)] = True
+    return cand[won]
 
 
 # -- epoch-level bulk sampling -------------------------------------------------
@@ -333,7 +348,7 @@ def sample_epoch_bulk(
     """Sample every layer for k minibatches in one stacked pass.
 
     batch_offset is the epoch-global index of batches[0]; chunked runs pass
-    it so their row streams line up with a single whole-epoch run.
+    it so their row keys line up with a single whole-epoch run.
     prob_spgemm lets a distributed executor substitute its own product for
     the probability-generation multiply; it defaults to the local kernel.
     """
@@ -364,8 +379,7 @@ def sample_epoch_bulk(
         norm = norm_rows_sage if cfg.kind is SamplerKind.SAGE else norm_rows_ladies
         P = norm(P)
         keys = global_row_keys(cfg, depth, batch_ids, rows_actual)
-        sampled_ordered = sample_rows_ordered(P, fanout, epoch, depth, cfg.seed, keys)
-        frontier = frontier_from_rows(sampled_ordered, P.n_cols)
+        frontier = sample_frontier(P, fanout, epoch, depth, cfg.seed, keys)
 
         row_starts = np.cumsum([0] + rows_actual)
         if cfg.kind is SamplerKind.SAGE:

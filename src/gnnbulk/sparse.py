@@ -6,8 +6,9 @@ are immutable after construction (the backing arrays are marked
 non-writeable), so they can be shared freely between simulated processes.
 
 The multiply kernel delegates to scipy.sparse for the actual Gustavson
-row-by-row product; the wrapper enforces the canonical form and the
-drop-tolerance policy on the result.
+row-by-row product; the wrapper enforces the canonical form on the result
+and removes exact zeros, so cancellation never leaves stored zeros while
+genuine tiny values are kept.
 """
 
 from __future__ import annotations
@@ -18,11 +19,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractViolation
-
-# Entries produced by cancellation below this magnitude are dropped from
-# multiply results. Adjacency/probability values are non-negative, so real
-# mass is never lost; this only keeps cancellation noise out of the pattern.
-DROP_TOL = 1e-12
 
 INDEX_DTYPE = np.int64
 VALUE_DTYPE = np.float64
@@ -168,8 +164,8 @@ class SparseMatrix:
 
     def to_dense(self):
         out = np.zeros((self.n_rows, self.n_cols), dtype=VALUE_DTYPE)
-        for r in range(self.n_rows):
-            out[r, self.row_cols(r)] = self.row_vals(r)
+        rows = np.repeat(np.arange(self.n_rows), self.row_nnz())
+        out[rows, self.col_indices] = self.values
         return out
 
     def equals(self, other):
@@ -233,21 +229,15 @@ class Graph:
 def spgemm(left: SparseMatrix, right: SparseMatrix) -> SparseMatrix:
     """Sparse-sparse product left @ right.
 
-    Entries whose magnitude falls below DROP_TOL (cancellation residue) are
-    removed from the result so repeated products cannot grow a phantom
-    pattern.
+    Entries that cancel to exactly zero are removed from the result, so
+    repeated products cannot grow a phantom pattern.
     """
     if left.n_cols != right.n_rows:
         raise ContractViolation(
             f"spgemm dimension mismatch: {left.shape} @ {right.shape}"
         )
-    prod = left.to_scipy() @ right.to_scipy()
-    prod = sp.csr_matrix(prod)
-    if prod.nnz:
-        mask = np.abs(prod.data) < DROP_TOL
-        if mask.any():
-            prod.data[mask] = 0.0
-            prod.eliminate_zeros()
+    prod = sp.csr_matrix(left.to_scipy() @ right.to_scipy())
+    prod.eliminate_zeros()
     return SparseMatrix.from_scipy(prod, shape=(left.n_rows, right.n_cols))
 
 
@@ -415,15 +405,12 @@ def rows_subset(M: SparseMatrix, rows) -> SparseMatrix:
 
 
 def add(left: SparseMatrix, right: SparseMatrix) -> SparseMatrix:
-    """Elementwise sparse sum; same drop policy as spgemm for cancellation."""
+    """Elementwise sparse sum; exact zeros from cancellation are removed,
+    as in spgemm."""
     if left.shape != right.shape:
         raise ContractViolation(f"add shape mismatch: {left.shape} vs {right.shape}")
     total = sp.csr_matrix(left.to_scipy() + right.to_scipy())
-    if total.nnz:
-        mask = np.abs(total.data) < DROP_TOL
-        if mask.any():
-            total.data[mask] = 0.0
-            total.eliminate_zeros()
+    total.eliminate_zeros()
     return SparseMatrix.from_scipy(total, shape=left.shape)
 
 

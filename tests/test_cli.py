@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from gnnbulk import cli
 from gnnbulk.cli import build_parser, config_from_args, main, run
 from gnnbulk.graph_io import read_stats
 
@@ -80,6 +81,18 @@ class TestRuns:
     def test_invalid_grid_exit_1(self, figure_path):
         assert main(["--graph", str(figure_path), "--procs", "4",
                      "--replication", "3"]) == 1
+
+    def test_partitioned_grid_rejected_before_loading(self, figure_path, monkeypatch, capsys):
+        # p=6, c=2: c*c does not divide p, so the staged multiply cannot tile
+        # the grid; the config must fail before the graph is read
+        def no_load(*args, **kwargs):
+            raise AssertionError("graph was read")
+
+        monkeypatch.setattr(cli, "load_graph", no_load)
+        rc = main(["--graph", str(figure_path), "--procs", "6", "--replication", "2",
+                   "--mode", "partitioned"])
+        assert rc == 1
+        assert "c*c" in capsys.readouterr().err
 
     def test_train_subset(self, figure_path, tmp_path):
         train = tmp_path / "train.txt"

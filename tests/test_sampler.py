@@ -6,16 +6,21 @@ from scipy import stats
 
 from gnnbulk.errors import ContractViolation
 from gnnbulk.sampler import (
-    RowRng,
     SamplerConfig,
-    its_sample_row,
+    _race_winners,
     ladies_seed_matrix,
+    race_uniforms,
     sage_seed_matrix,
     sample_epoch_bulk,
     sample_frontier,
-    sample_rows_ordered,
 )
-from gnnbulk.sparse import SparseMatrix, norm_rows_ladies, norm_rows_sage, spgemm
+from gnnbulk.sparse import (
+    SparseMatrix,
+    norm_rows_ladies,
+    norm_rows_sage,
+    spgemm,
+    vstack,
+)
 
 from conftest import edge_set, random_graph_min_degree
 
@@ -43,23 +48,52 @@ class TestConfig:
         assert [cfg.rows_per_batch(t) for t in (1, 2, 3)] == [1, 1, 1]
 
 
+def uniform_at(seed, epoch, layer, row, col, n_cols=64):
+    """The counter-keyed uniform of one (row, col) key, drawn alone."""
+    P = SparseMatrix(1, n_cols, [0, 1], [col], [1.0])
+    return race_uniforms(P, epoch, layer, seed, row_keys=[row])[0]
+
+
 class TestRowRng:
+    """The counter-keyed uniforms behind every draw: one value per
+    (seed, epoch, layer, global row, column) key."""
+
     def test_same_key_same_stream(self):
-        a = RowRng(7, 1, 2).stream(13).random(5)
-        b = RowRng(7, 1, 2).stream(13).random(5)
-        assert np.array_equal(a, b)
+        a = uniform_at(7, 1, 2, 13, 5)
+        assert a == uniform_at(7, 1, 2, 13, 5)
+        # the key alone fixes the value, whatever else the matrix holds
+        P = SparseMatrix.from_dense(np.ones((3, 8)))
+        u = race_uniforms(P, 1, 2, 7, row_keys=[4, 13, 9])
+        assert u[1 * 8 + 5] == a
+        assert np.all((u > 0) & (u <= 1))
 
     def test_distinct_keys_differ(self):
-        base = RowRng(7, 1, 2).stream(13).random(4)
-        for other in (RowRng(8, 1, 2), RowRng(7, 2, 2), RowRng(7, 1, 3)):
-            assert not np.array_equal(base, other.stream(13).random(4))
-        assert not np.array_equal(base, RowRng(7, 1, 2).stream(14).random(4))
+        base = uniform_at(7, 1, 2, 13, 5)
+        for other in (
+            uniform_at(8, 1, 2, 13, 5),
+            uniform_at(7, 2, 2, 13, 5),
+            uniform_at(7, 1, 3, 13, 5),
+            uniform_at(7, 1, 2, 14, 5),
+            uniform_at(7, 1, 2, 13, 6),
+        ):
+            assert other != base
 
     def test_independent_of_consumption_order(self):
-        rng = RowRng(0, 0, 1)
-        forward = [rng.stream(r).random() for r in range(5)]
-        backward = [RowRng(0, 0, 1).stream(r).random() for r in reversed(range(5))]
-        assert forward == backward[::-1]
+        P = SparseMatrix.from_dense(np.ones((5, 6)))
+        forward = race_uniforms(P, 0, 1, 0, row_keys=np.arange(5))
+        backward = race_uniforms(P, 0, 1, 0, row_keys=np.arange(5)[::-1])
+        assert np.array_equal(
+            forward.reshape(5, 6), backward.reshape(5, 6)[::-1]
+        )
+
+    def test_uniform_over_consecutive_counters(self):
+        # 10^5 consecutive (row, col) counters, 20 equal bins, chi-square at 1%
+        rows, cols, bins = 100, 1000, 20
+        P = SparseMatrix.from_dense(np.ones((rows, cols)))
+        u = race_uniforms(P, epoch=0, layer=1, seed=123)
+        counts = np.bincount(np.minimum((u * bins).astype(int), bins - 1), minlength=bins)
+        result = stats.chisquare(counts, f_exp=np.full(bins, rows * cols / bins))
+        assert result.pvalue > 0.01
 
 
 class TestSeedMatrices:
@@ -96,31 +130,42 @@ class TestSeedMatrices:
         assert np.all(q.row_nnz() == 2)
 
 
+def one_row(weights):
+    weights = np.asarray(weights, dtype=float)
+    m = len(weights)
+    return SparseMatrix(1, m, [0, m], np.arange(m), weights)
+
+
 class TestInverseTransformSampling:
+    """sample_frontier's exponential race draws like successive
+    inverse-transform draws without replacement."""
+
     def test_forced_single(self):
-        out = its_sample_row([1.0], 1, np.random.default_rng(0))
-        assert out.tolist() == [0]
+        out = sample_frontier(one_row([1.0]), 1, epoch=0, layer=1, seed=0)
+        assert out.row_cols(0).tolist() == [0]
 
     def test_exhaustion_takes_all(self):
-        out = its_sample_row([0.25] * 4, 4, np.random.default_rng(1))
-        assert sorted(out.tolist()) == [0, 1, 2, 3]
+        out = sample_frontier(one_row([0.25] * 4), 4, epoch=0, layer=1, seed=1)
+        assert out.row_cols(0).tolist() == [0, 1, 2, 3]
 
     def test_empty_distribution(self):
-        assert its_sample_row([], 3, np.random.default_rng(2)).size == 0
+        P = SparseMatrix(3, 4, [0, 0, 2, 2], [1, 3], [0.5, 0.5])
+        out = sample_frontier(P, 3, epoch=0, layer=1, seed=2)
+        assert out.row_nnz().tolist() == [0, 2, 0]
+        assert sample_frontier(SparseMatrix.empty(0, 4), 3, 0, 1, 2).shape == (0, 4)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ContractViolation):
-            its_sample_row([0.5, 0.0, 0.5], 1, np.random.default_rng(3))
+        for bad in (0.0, -0.5):
+            with pytest.raises(ContractViolation):
+                sample_frontier(one_row([0.5, bad, 0.5]), 1, epoch=0, layer=1, seed=3)
 
     def test_first_draw_matches_distribution(self):
         # exact first-draw distribution [0.2, 0.3, 0.5], chi-square at 1%
         p = np.array([0.2, 0.3, 0.5])
         trials = 10**5
-        counts = np.zeros(3)
-        rng = RowRng(seed=123, epoch=0, layer=1)
-        for t in range(trials):
-            idx = its_sample_row(p, 1, rng.stream(t))
-            counts[idx[0]] += 1
+        P = vstack([one_row(p)] * trials)
+        out = sample_frontier(P, 1, epoch=0, layer=1, seed=123, row_keys=np.arange(trials))
+        counts = np.bincount(out.col_indices, minlength=3)
         result = stats.chisquare(counts, f_exp=p * trials)
         assert result.pvalue > 0.01
 
@@ -133,11 +178,73 @@ class TestInverseTransformSampling:
     def test_distinct_in_range_count(self, m, s, seed):
         rng = np.random.default_rng(seed)
         weights = rng.random(m) + 0.05
-        probs = weights / weights.sum()
-        out = its_sample_row(probs, s, np.random.default_rng(seed + 1))
-        assert len(out) == min(s, m)
-        assert len(set(out.tolist())) == len(out)
-        assert all(0 <= i < m for i in out)
+        out = sample_frontier(one_row(weights / weights.sum()), s, 0, 1, seed + 1)
+        picked = out.row_cols(0)
+        assert len(picked) == min(s, m)
+        assert len(set(picked.tolist())) == len(picked)
+        assert all(0 <= i < m for i in picked)
+
+
+def top_s_oracle(keys, P, s):
+    """Brute force: one full lexsort of every key by (row, key, column),
+    then the first min(s, nnz) positions of each row, ascending."""
+    rows = np.repeat(np.arange(P.n_rows), P.row_nnz())
+    order = np.lexsort((P.col_indices, keys, rows))
+    rank = np.empty(P.nnz, dtype=np.int64)
+    rank[order] = np.arange(P.nnz) - P.row_offsets[rows[order]]
+    return np.flatnonzero(rank < s)
+
+
+@st.composite
+def weighted_rows(draw):
+    """Matrices mixing empty rows, rows with at most s entries and hub rows
+    far above s; weights equal, spread, or dominated by one entry."""
+    s = draw(st.integers(1, 12))
+    n_cols = 400
+    lengths = draw(
+        st.lists(
+            st.one_of(st.just(0), st.integers(1, s), st.integers(s + 1, n_cols)),
+            max_size=8,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    shape = draw(st.sampled_from(["equal", "spread", "dominated"]))
+    offsets = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+    cols = [np.sort(rng.choice(n_cols, size=m, replace=False)) for m in lengths]
+    vals = []
+    for m in lengths:
+        w = np.ones(m) if shape == "equal" else rng.random(m) + 1e-3
+        if shape == "dominated" and m:
+            w[rng.integers(m)] = 1e4
+        vals.append(w / w.sum() if m else w)
+    P = SparseMatrix(
+        len(lengths), n_cols, offsets,
+        np.concatenate(cols + [np.zeros(0, dtype=np.int64)]),
+        np.concatenate(vals + [np.zeros(0)]),
+    )
+    return P, s, rng
+
+
+class TestRaceExactness:
+    """The filtered, padded selection equals a full sort of the same keys."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_rows(), st.integers(0, 2**31))
+    def test_matches_full_lexsort_top_s(self, case, seed):
+        P, s, _ = case
+        keys = -np.log(race_uniforms(P, 0, 1, seed)) / P.values
+        want = top_s_oracle(keys, P, s)
+        got = sample_frontier(P, s, epoch=0, layer=1, seed=seed)
+        assert np.array_equal(got.col_indices, P.col_indices[want])
+        assert np.array_equal(got.row_nnz(), np.minimum(P.row_nnz(), s))
+
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_rows())
+    def test_ties_and_infinities_go_to_the_lower_column(self, case):
+        # keys from a handful of values, inf among them, so rows tie often
+        P, s, rng = case
+        keys = rng.choice([0.0, 0.5, 1.0, 2.0, np.inf], size=P.nnz)
+        assert np.array_equal(_race_winners(keys, P, s), top_s_oracle(keys, P, s))
 
 
 class TestSampleFrontier:
@@ -317,11 +424,11 @@ class TestEpochBulk:
         q = ladies_seed_matrix([[1, 5]], 6)
         p = norm_rows_ladies(spgemm(q, figure_graph.adjacency))
         trials = 10**5
-        counts = np.zeros(6)
-        keys = np.arange(1)
-        for epoch in range(trials):
-            first = sample_rows_ordered(p, 2, epoch, 1, seed=77, row_keys=keys)[0][0]
-            counts[int(first)] += 1
+        draws = sample_frontier(
+            vstack([p] * trials), 1, epoch=0, layer=1, seed=77,
+            row_keys=np.arange(trials),
+        )
+        counts = np.bincount(draws.col_indices, minlength=6)
         expect = np.array([1, 0, 1, 1, 4, 0]) / 7 * trials
         support = expect > 0
         assert counts[~support].sum() == 0

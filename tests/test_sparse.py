@@ -104,6 +104,20 @@ class TestSpgemm:
         right = SparseMatrix.from_dense(np.array([[1.0], [-1.0]]))
         assert spgemm(left, right).nnz == 0
 
+    def test_tiny_products_survive(self):
+        # genuine tiny values are mass, not cancellation noise
+        one = SparseMatrix.from_dense(np.array([[1.0]]))
+        tiny = SparseMatrix.from_dense(np.array([[1e-13]]))
+        got = spgemm(tiny, one)
+        assert got.nnz == 1 and got.values[0] == 1e-13
+        rng = np.random.default_rng(3)
+        a = random_sparse(rng, 12, 9, 0.4)
+        b = SparseMatrix.from_dense(random_sparse(rng, 9, 7, 0.4).to_dense() * 2.0**-60)
+        want = dense_oracle(a, b)
+        got = spgemm(a, b)
+        assert np.array_equal(got.to_dense(), want)
+        assert got.nnz == np.count_nonzero(want)
+
     def test_matches_dense_oracle_many_sizes(self):
         rng = np.random.default_rng(1)
         for _ in range(40):
@@ -330,6 +344,13 @@ class TestWindowSubsetAdd:
         a = random_sparse(rng, 6, 6, 0.3)
         b = random_sparse(rng, 6, 6, 0.3)
         assert np.array_equal(add(a, b).to_dense(), a.to_dense() + b.to_dense())
+
+    def test_add_keeps_tiny_drops_exact_cancellation(self):
+        left = SparseMatrix.from_dense(np.array([[1e-13, 1.0]]))
+        right = SparseMatrix.from_dense(np.array([[0.0, -1.0]]))
+        got = add(left, right)
+        assert got.row_cols(0).tolist() == [0]
+        assert got.values.tolist() == [1e-13]
 
     def test_add_shape_mismatch(self):
         with pytest.raises(ContractViolation):
